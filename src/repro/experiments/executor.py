@@ -77,7 +77,12 @@ from repro.experiments.results import (
     ScenarioResult,
     run_sample_count,
 )
-from repro.experiments.runner import RunnerSettings, ScenarioRunner, resolve_run_count
+from repro.experiments.runner import (
+    RunnerSettings,
+    ScenarioRunner,
+    batch_passes,
+    resolve_run_count,
+)
 from repro.experiments.scheduler import SpeculationPolicy, ThroughputModel
 from repro.hypervisor.migration import MigrationConfig
 from repro.io import PersistenceError, load_run_result, save_run_result
@@ -88,6 +93,7 @@ __all__ = [
     "CampaignExecutor",
     "ExecutorBackend",
     "ExecutorStats",
+    "PassWalls",
     "ProcessBackend",
     "RunBatchTask",
     "RunCache",
@@ -101,7 +107,9 @@ __all__ = [
 #: existing cache entry after a change to run semantics.
 #: /2: MigrationScenario gained the ``driver`` field (consolidation-manager
 #: scenarios), which changes the canonical scenario payload.
-CACHE_KEY_SCHEMA = "wavm3-run-cache/2"
+#: /3: RNG stream v3 — ``VmMemory.advance`` no longer draws the discarded
+#: page choice, so every run with a logging, dirtying VM changes bytes.
+CACHE_KEY_SCHEMA = "wavm3-run-cache/3"
 
 
 def _execute_run(
@@ -225,6 +233,39 @@ def execute_batch(
         stabilization=stabilization,
     )
     return runner.run_batch(scenario, run_indices, on_run=on_run)
+
+
+class PassWalls:
+    """Per-run wall times for a batch whose runs finish pass by pass.
+
+    A run of a seed-banked pass has no wall of its own: the pass advances
+    all of its runs in lockstep (:func:`~repro.experiments.runner.
+    batch_passes`).  Each run of a pass is charged an even share of the
+    pass's wall, as the coordinator does for a whole batch.  Unbanked
+    runs are passes of one and keep their own walls.  The clock starts
+    when the object is built.
+    """
+
+    def __init__(self, seed_bank: int, run_indices: Sequence[int]) -> None:
+        self._sizes = [len(p) for p in batch_passes(seed_bank, run_indices)]
+        self._held: list[RunResult] = []
+        self._mark = time.perf_counter()
+
+    def finish(self, run: RunResult) -> list[tuple[RunResult, float]]:
+        """Record one finished run (in ``run_indices`` order).
+
+        Returns ``(run, wall_s)`` for every run of the pass this run
+        completes, or nothing while that pass is still running.
+        """
+        self._held.append(run)
+        if len(self._held) < self._sizes[0]:
+            return []
+        del self._sizes[0]
+        now = time.perf_counter()
+        wall = max((now - self._mark) / len(self._held), 1e-9)
+        self._mark = now
+        done, self._held = self._held, []
+        return [(r, wall) for r in done]
 
 
 @dataclass(frozen=True)

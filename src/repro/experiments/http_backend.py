@@ -62,7 +62,7 @@ from typing import Optional, Tuple, Union
 
 from repro.errors import ExperimentError
 from repro.experiments.chaos import ChaosError, chaos_bytes, chaos_trip
-from repro.experiments.executor import ExecutorBackend, RunCache, RunTask
+from repro.experiments.executor import ExecutorBackend, PassWalls, RunCache, RunTask
 from repro.experiments.faults import (
     RunFailure,
     TaskFailure,
@@ -1087,7 +1087,7 @@ def _process_http_claim(
     is_batch = getattr(task, "run_count", None) is not None
     done_in_claim = 0
 
-    def _announce(run) -> None:
+    def _announce(run, wall: float) -> None:
         """Announce one finished run *before* the result upload: the
         coordinator drains its /progress history the moment the final
         /result resolves the campaign, and the announcement for every
@@ -1096,9 +1096,7 @@ def _process_http_claim(
         so batching is invisible to the stream.  (A subsequently
         rejected upload leaves surplus announcements in the
         observational stream — harmless by design.)"""
-        nonlocal done_in_claim, mark
-        wall = max(time.perf_counter() - mark, 1e-9)
-        mark = time.perf_counter()
+        nonlocal done_in_claim
         done_in_claim += 1
         samples = run_sample_count(run)
         event = ProgressEvent(
@@ -1121,9 +1119,18 @@ def _process_http_claim(
         except (urllib.error.URLError, OSError, ChaosError):
             pass  # progress is observational: never fail the task over it
 
+    def _finish(run) -> None:
+        # A banked pass's runs are announced when the pass ends, each
+        # with an even share of its wall.
+        for done, wall in walls.finish(run):
+            _announce(done, wall)
+
     heartbeat = _HttpHeartbeat(url, worker_id, task_id, heartbeat_s, timeout=http_timeout)
     heartbeat.start()
-    mark = time.perf_counter()
+    walls = PassWalls(
+        task.settings.seed_bank,
+        task.run_indices if is_batch else [task.run_index],
+    )
     run_count = int(getattr(task, "run_count", 1) or 1)
     deadline = None if run_timeout is None else run_timeout * run_count
 
@@ -1131,9 +1138,9 @@ def _process_http_claim(
         if is_batch:
             # One runner instance serves the whole seed wave; runs are
             # announced as they finish and uploaded as one envelope.
-            return dump_run_batch_bytes(task.execute(on_run=_announce))
+            return dump_run_batch_bytes(task.execute(on_run=_finish))
         run = task.execute()
-        _announce(run)
+        _finish(run)
         return dump_run_result_bytes(run)
 
     try:

@@ -68,6 +68,7 @@ from repro.errors import ExperimentError
 from repro.experiments.chaos import ChaosError, chaos_trip
 from repro.experiments.executor import (
     ExecutorBackend,
+    PassWalls,
     RunCache,
     RunTask,
     execute_batch,
@@ -969,15 +970,13 @@ def _process_claim(
         stats.failed += 1
         return
 
-    def _announce(run, counted: int) -> None:
+    def _announce(run, counted: int, wall: float) -> None:
         """Append the progress line *before* the result becomes visible in
         the cache: a coordinator that resolves the final run and drains the
         sidecars immediately must still see every announcement.  Each run
         announces under its own per-run id (which equals the claim stem
         for single-run tasks), so batching is invisible to the stream."""
-        nonlocal mark
-        wall = max(time.perf_counter() - mark, 1e-9)
-        mark = time.perf_counter()
+        wall = max(wall, 1e-9)
         samples = run_sample_count(run)
         event = ProgressEvent(
             task_id=f"{task.key[:16]}-{run.run_index:04d}",
@@ -997,9 +996,12 @@ def _process_claim(
             pass  # progress is observational: never fail the task over it
 
     def _deposit(run) -> None:
-        stats.executed += 1
-        _announce(run, stats.executed + stats.cached)
-        cache.put(task.key, run, key_payload=task.key_payload())
+        # A banked pass's runs are held until the pass ends, then each is
+        # charged an even share of its wall.
+        for done, wall in walls.finish(run):
+            stats.executed += 1
+            _announce(done, stats.executed + stats.cached, wall)
+            cache.put(task.key, done, key_payload=task.key_payload())
 
     heartbeat = _ClaimHeartbeat(claim, heartbeat_s)
     heartbeat.start()
@@ -1013,10 +1015,13 @@ def _process_claim(
             run = cache.get(task.key, task.scenario, index)
             if run is not None:
                 stats.cached += 1
-                _announce(run, stats.executed + stats.cached)
+                now = time.perf_counter()
+                _announce(run, stats.executed + stats.cached, now - mark)
+                mark = now
             else:
                 missing.append(index)
         if missing:
+            walls = PassWalls(task.settings.seed_bank, missing)
             # One runner instance serves the whole seed wave — scenario
             # validation is hoisted, per-run seeds stay derive_seed-exact.
             # The watchdog deadline scales with the batch: every run gets

@@ -45,6 +45,7 @@ __all__ = [
     "CONSOLIDATION_UNDERLOAD",
     "RunnerSettings",
     "ScenarioRunner",
+    "batch_passes",
     "resolve_run_count",
 ]
 
@@ -65,6 +66,22 @@ CONSOLIDATION_PHASE_S = CONSOLIDATION_PERIOD_S + 0.137
 #: the ≥ 3-load-VM levels (~38 %) the consolidation scenarios place on
 #: the target, so the drain direction is never ambiguous.
 CONSOLIDATION_UNDERLOAD = 0.20
+
+
+def batch_passes(seed_bank: int, run_indices: Sequence[int]) -> list[list[int]]:
+    """The passes in which :meth:`ScenarioRunner.run_batch` runs a batch.
+
+    With ``seed_bank >= 2`` and at least two distinct indices, the batch
+    runs as :class:`~repro.experiments.seedbank.SeedBank` chunks of up to
+    ``seed_bank`` runs that advance in lockstep, so the runs of one pass
+    share its wall time; otherwise every run is a pass of its own.
+    """
+    indices = list(run_indices)
+    if seed_bank >= 2 and len(indices) >= 2 and len(set(indices)) == len(indices):
+        return [
+            indices[pos:pos + seed_bank] for pos in range(0, len(indices), seed_bank)
+        ]
+    return [[index] for index in indices]
 
 
 def resolve_run_count(
@@ -386,11 +403,7 @@ class ScenarioRunner:
                 f"(catalog: {sorted(INSTANCE_CATALOG)})"
             )
 
-        if (
-            self.settings.seed_bank >= 2
-            and len(indices) >= 2
-            and len(set(indices)) == len(indices)
-        ):
+        if len(batch_passes(self.settings.seed_bank, indices)) < len(indices):
             from repro.experiments.seedbank import SeedBank  # local: avoid cycle
 
             return SeedBank(

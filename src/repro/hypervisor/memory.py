@@ -5,7 +5,8 @@ log-dirty bitmap; each pre-copy round clears the log and re-sends pages
 dirtied during the previous round.  This module reproduces that mechanism
 with two levels of fidelity:
 
-* a **bitmap** (numpy bool array) for exact per-round accounting, and
+* a **dirty log** for exact per-round accounting (a page counter, see
+  below), and
 * the **occupancy formula** for the distinct-page statistics of random
   writes: a workload issuing ``N`` uniform writes over a working set of
   ``W`` pages leaves a given page untouched with probability
@@ -13,9 +14,11 @@ with two levels of fidelity:
   ``W · (1 - (1 - 1/W)^N)`` — the classic coupon-collector saturation.
 
 The stochastic update draws the number of *newly* dirtied pages from a
-binomial over the currently clean working pages, then marks uniformly
-chosen clean pages.  This is faithful to ``pagedirtier``'s random-order
-writes while staying O(working set) per pre-copy round.
+binomial over the currently clean working pages.  Writes are uniform over
+the working set, so *which* clean pages they hit is unobservable: every
+migration path reads the log only through its count.  The log is
+therefore a counter, and one update costs one binomial draw — O(1) in
+the working set, whatever the VM's size.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ def expected_distinct_pages(writes: float, working_pages: int) -> float:
 
 
 class VmMemory:
-    """Guest memory image with a log-dirty bitmap.
+    """Guest memory image with a log-dirty page counter.
 
     Parameters
     ----------
@@ -87,10 +90,8 @@ class VmMemory:
         # observable (dirty_count, clean-set size, the RNG draws) is a
         # function of counts alone.  This makes the whole log O(1)
         # instead of O(n_pages) bitmap passes per pre-copy round, and
-        # advance() still consumes the generator identically to the
-        # explicit-bitmap implementation it replaced
-        # (``Generator.choice`` draws the same variates for an int
-        # population as for an index array of the same size).
+        # advance() draws only the binomial count, never a page choice
+        # (RNG stream v3, docs/performance.md "RNG stream versions").
         # Resizing the working set while pages are logged is rejected
         # (see set_dirty_process): page identity is gone, so the
         # inside/outside split could not be reconstructed.
@@ -233,9 +234,6 @@ class VmMemory:
         n_new = int(rng.binomial(clean, min(max(p_touched, 0.0), 1.0)))
         if n_new == 0:
             return 0
-        # Draw the page choice exactly as the explicit-bitmap version did
-        # (uniform distinct clean pages); only the count is observable.
-        rng.choice(clean, size=n_new, replace=False)
         self._dirty_logged += n_new
         return n_new
 

@@ -25,7 +25,7 @@ from repro.experiments.queue_backend import (
     run_worker,
     task_id_for,
 )
-from repro.experiments.runner import RunnerSettings, ScenarioRunner
+from repro.experiments.runner import RunnerSettings, ScenarioRunner, batch_passes
 from repro.io import (
     PersistenceError,
     dump_run_batch_bytes,
@@ -393,6 +393,58 @@ class TestQueueWorkerBatch:
         serial = ScenarioRunner(seed=SEED).run_campaign([_SCENARIO], min_runs=2, max_runs=2)
         for a, b in zip(serial.scenario_results[0].runs, result.scenario_results[0].runs):
             _assert_runs_identical(a, b)
+
+
+class TestBankedPassWalls:
+    """A seed-banked pass advances its runs in lockstep, so distributed
+    workers charge each run an even share of the pass wall instead of
+    giving the first run the whole pass and the rest about zero."""
+
+    def test_batch_passes_mirror_the_seed_bank_chunks(self):
+        assert batch_passes(16, range(3)) == [[0, 1, 2]]
+        assert batch_passes(2, [4, 5, 7, 9, 10]) == [[4, 5], [7, 9], [10]]
+        assert batch_passes(0, [3, 4]) == [[3], [4]]
+        assert batch_passes(16, [6]) == [[6]]
+
+    def _assert_even_walls(self, executor):
+        events = [e for e in executor.progress_events if e.worker.startswith("pw-")]
+        assert sorted(e.run_index for e in events) == [0, 1]
+        assert events[0].wall_s == events[1].wall_s > 1e-6
+
+    def test_queue_worker(self, tmp_path):
+        spool, cache = tmp_path / "spool", tmp_path / "cache"
+        executor = CampaignExecutor(
+            ScenarioRunner(seed=SEED), backend="queue", cache_dir=cache,
+            spool_dir=spool, batch_size=2,
+            queue_options={"poll_interval": 0.02, "stop_workers_on_shutdown": True},
+        )
+        worker = threading.Thread(
+            target=run_worker, args=(spool, cache),
+            kwargs={"poll_interval": 0.02, "worker_id": "pw-queue"},
+            daemon=True,
+        )
+        worker.start()
+        executor.run_campaign([_SCENARIO], min_runs=2, max_runs=2)
+        worker.join(timeout=30)
+        assert executor.queue_stats.tasks_submitted == 1
+        self._assert_even_walls(executor)
+
+    def test_http_worker(self, tmp_path):
+        executor = CampaignExecutor(
+            ScenarioRunner(seed=SEED), backend="http", cache_dir=tmp_path / "cache",
+            serve="127.0.0.1:0", batch_size=2,
+            http_options={"stop_workers_on_shutdown": True, "stop_grace_s": 2.0},
+        )
+        worker = threading.Thread(
+            target=run_http_worker, args=(executor.serve_url,),
+            kwargs={"poll_interval": 0.01, "worker_id": "pw-http"},
+            daemon=True,
+        )
+        worker.start()
+        executor.run_campaign([_SCENARIO], min_runs=2, max_runs=2)
+        worker.join(timeout=30)
+        assert executor.queue_stats.tasks_submitted == 1
+        self._assert_even_walls(executor)
 
 
 class TestBenchBatch:

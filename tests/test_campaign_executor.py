@@ -322,6 +322,24 @@ class TestRunCache:
         assert healed.stats.runs_cached == 2
 
 
+    def test_cache_warmed_on_stream_v2_serves_nothing(self, tmp_path, monkeypatch):
+        """Stream v3 changed the bytes of live runs, so a cache warmed
+        under the v2 key schema must not serve a single run."""
+        from repro.experiments import executor as executor_module
+
+        scenarios = _scenarios()
+        monkeypatch.setattr(executor_module, "CACHE_KEY_SCHEMA", "wavm3-run-cache/2")
+        CampaignExecutor(ScenarioRunner(seed=SEED), jobs=1, cache_dir=tmp_path).run_campaign(
+            scenarios, min_runs=2, max_runs=2
+        )
+        monkeypatch.undo()
+        assert CACHE_KEY_SCHEMA == "wavm3-run-cache/3"
+        again = CampaignExecutor(ScenarioRunner(seed=SEED), jobs=1, cache_dir=tmp_path)
+        again.run_campaign(scenarios, min_runs=2, max_runs=2)
+        assert again.stats.runs_cached == 0
+        assert again.stats.runs_executed == 6
+
+
 class TestCacheKey:
     SETTINGS = RunnerSettings()
     RULE = StabilizationRule()
